@@ -5,8 +5,10 @@
 # cache corruption and flaky HTTP must all converge byte-identically),
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
-# fault-point overhead guard — and the bench-gate step, which measures
-# the kernel-bound benchmarks and fails on regression against the
+# fault-point overhead guard — a short differential fuzz of the band
+# analysis, and the bench-gate step, which measures the kernel-bound
+# benchmarks and the client latency study (Tables 5–7 and its band
+# analysis) and fails on regression against the
 # committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
 # allocation counts are deterministic, so an increase is a real leak
 # back onto the hot path).
@@ -64,12 +66,19 @@ go test -race -count=1 -run 'TestShardsDeterministicAtAnyWorkerCount|TestPostBan
 go test -race -count=1 -run 'TestEnsembleByteIdentity' ./internal/jvm/
 go test -race -count=1 -run 'TestClusterDigestMatrix' ./internal/cluster/
 go test -count=1 -run 'TestSeed42EvaluationDigest' ./internal/core/
+# Differential fuzz of the linear-time band analysis against the
+# sort-based oracle kept in its tests. Minimization is capped by count:
+# left at its 60 s default, shrinking one large interesting input can
+# take the whole fuzz budget.
+go test -run=NONE -fuzz=FuzzAnalyzeBands -fuzztime=10s -fuzzminimizetime=200x ./internal/stats/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.
 go build -o /tmp/benchdiff ./cmd/benchdiff
 {
   go test -run=NONE -bench 'BenchmarkFigure3Ranking' -benchmem -benchtime=5x -count=2 .
+  go test -run=NONE -bench 'BenchmarkTables567LatencyBands' -benchmem -benchtime=2x -count=2 .
+  go test -run=NONE -bench 'BenchmarkAnalyzeBands' -benchmem -count=2 ./internal/stats/
   go test -run=NONE -bench 'BenchmarkSimulatedHour' -benchmem -benchtime=10x -count=2 ./internal/jvm/
   go test -run=NONE -bench 'BenchmarkClusterStep' -benchmem -benchtime=3x -count=2 ./internal/cluster/
   go test -run=NONE -bench 'BenchmarkColdRun|BenchmarkCacheHit|BenchmarkSubmitCacheHit' -benchmem -count=2 ./internal/labd/

@@ -16,6 +16,7 @@ package cassandra
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"jvmgc/internal/event"
 	"jvmgc/internal/gclog"
@@ -249,16 +250,14 @@ func Run(cfg Config) (Result, error) {
 }
 
 // RecordsAt returns the database size at instant t by stepping the sample
-// curve.
+// curve: the count of the last sample taken at or before t, 0 before the
+// first. Records is in time order, so a binary search finds it.
 func (r Result) RecordsAt(t simtime.Time) int64 {
-	n := int64(0)
-	for _, p := range r.Records {
-		if p.Time > t {
-			break
-		}
-		n = p.Records
+	i := sort.Search(len(r.Records), func(i int) bool { return r.Records[i].Time > t })
+	if i == 0 {
+		return 0
 	}
-	return n
+	return r.Records[i-1].Records
 }
 
 // Describe summarizes the run for logs and CLI output.

@@ -1,6 +1,7 @@
 package cassandra
 
 import (
+	"math"
 	"testing"
 
 	"jvmgc/internal/machine"
@@ -273,6 +274,39 @@ func TestBackgroundCPUAffectsProgressOnly(t *testing.T) {
 	for i := 1; i < len(res.Flushes); i++ {
 		if res.Flushes[i].Time <= res.Flushes[i-1].Time {
 			t.Fatal("flushes out of order")
+		}
+	}
+}
+
+// TestRecordsAtMatchesLinearScan checks the binary-search RecordsAt
+// against the linear step-function walk at, just before and just after
+// every sample of a real run's curve, and on a hand-built curve with two
+// samples at one instant (the later one wins).
+func TestRecordsAtMatchesLinearScan(t *testing.T) {
+	linear := func(r Result, at simtime.Time) int64 {
+		n := int64(0)
+		for _, p := range r.Records {
+			if p.Time > at {
+				break
+			}
+			n = p.Records
+		}
+		return n
+	}
+	res, err := Run(shortStress("G1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tied := Result{Records: []RecordPoint{{Time: 5, Records: 1}, {Time: 9, Records: 4}, {Time: 9, Records: 7}, {Time: 12, Records: 8}}}
+	for _, r := range []Result{res, tied, {}} {
+		probes := []simtime.Time{-1, 0, simtime.Time(math.MaxInt64)}
+		for _, p := range r.Records {
+			probes = append(probes, p.Time-1, p.Time, p.Time+1)
+		}
+		for _, at := range probes {
+			if got, want := r.RecordsAt(at), linear(r, at); got != want {
+				t.Errorf("RecordsAt(%d) = %d, linear scan %d", at, got, want)
+			}
 		}
 	}
 }

@@ -3,9 +3,11 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -147,6 +149,48 @@ func TestPeerFetchMarkDownSemantics(t *testing.T) {
 			t.Error("connection refused did not mark the node down")
 		}
 	})
+}
+
+// TestPeerMissesReuseConnection: repeated peer-cache misses answered
+// with a 404 body must travel over one keep-alive connection, not dial
+// a new one per probe (each abandoned connection lingers in TIME_WAIT).
+func TestPeerMissesReuseConnection(t *testing.T) {
+	var dials atomic.Int64
+	peer := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"labd: no cached result for this key"}`, http.StatusNotFound)
+	}))
+	peer.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	peer.Start()
+	defer peer.Close()
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	rt, err := New(Config{
+		Self:        "a",
+		Nodes:       map[string]string{"a": "http://unused", "b": peer.URL},
+		ReprobeBase: time.Hour, ReprobeMax: time.Hour,
+		HTTPClient: &http.Client{Transport: transport, Timeout: 5 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	const probes = 50
+	for _, key := range testKeys(probes) {
+		if _, ok := rt.Fetch(context.Background(), key); ok {
+			t.Fatal("a 404 peer answer cannot hit")
+		}
+	}
+	if got := rt.Stats().PeerProbes; got != probes {
+		t.Fatalf("peer probes = %d, want %d", got, probes)
+	}
+	if got := dials.Load(); got != 1 {
+		t.Errorf("%d probes answered 404 opened %d connections, want 1", probes, got)
+	}
 }
 
 // TestConcurrentPlacementDuringMembershipChange hammers the placement

@@ -569,7 +569,10 @@ func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte,
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// A clean miss (404) — or any HTTP-level rejection — proves the
-		// node alive; placement keeps it.
+		// node alive; placement keeps it. Reading the (short) error body
+		// to the end lets the keep-alive connection go back to the pool;
+		// closing it unread would cost every miss a fresh TCP dial.
+		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
 		return nil, false
 	}
 	body, err := io.ReadAll(resp.Body)

@@ -147,11 +147,11 @@ func TestEndToEndCacheByteIdentity(t *testing.T) {
 	if got := metricValue(t, metrics, "jvmgc_labd_jobs_submitted_total"); got != 3 {
 		t.Errorf("submitted = %g, want 3", got)
 	}
-	// The latency summary is fed by job-record spans, and only scheduled
-	// submissions create job records — fast-path cache hits (fastpath.go)
-	// are served without one, precisely so a hit storm cannot grow the
-	// span buffer. So the summary must count exactly the registered jobs,
-	// while the streaming histogram must have seen all three submissions.
+	// The latency summary counts the jobs that ran through the
+	// scheduler, and only those create job records — fast-path cache
+	// hits (fastpath.go) are served without one. So the summary must
+	// count exactly the registered jobs, while the streaming histogram
+	// must have seen all three submissions.
 	jobs, err := c.Jobs(ctx)
 	if err != nil {
 		t.Fatalf("jobs: %v", err)

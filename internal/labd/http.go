@@ -378,14 +378,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.addSLOMetrics(&snap)
 	obs.ReadRuntimeSample().AddTo(&snap)
 
-	var latencies []float64
-	for _, span := range s.rec.TrackSpans("labd") {
-		latencies = append(latencies, span.Duration.Seconds())
-	}
-	snap.Summary("labd_job_latency_seconds",
-		"End-to-end job latency (enqueue to completion), including cache hits.",
-		latencies)
 	s.histMu.Lock()
+	snap.SummaryHist("labd_job_latency_seconds",
+		"End-to-end latency of scheduled jobs (enqueue to completion), including cache hits.",
+		s.jobHist)
 	snap.HistogramExemplars("labd_job_latency_hist_seconds",
 		"End-to-end job latency distribution (streaming histogram over the daemon's whole lifetime).",
 		s.latHist, s.latEx)

@@ -38,7 +38,6 @@ import (
 	"jvmgc/internal/faultinject"
 	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/obs"
-	"jvmgc/internal/simtime"
 	"jvmgc/internal/sweep"
 	"jvmgc/internal/telemetry"
 )
@@ -269,14 +268,17 @@ type Server struct {
 	fastHitsMem   *telemetry.CounterHandle
 	fastCompleted *telemetry.CounterHandle
 
-	// latHist streams every finished job's end-to-end latency
-	// (seconds) into a bounded histogram for /metrics, independent of
-	// the span ring's retention; latEx pins one exemplar trace ID per
-	// bucket so a latency spike on the histogram resolves to the trace
-	// that caused it. queueHist streams leader jobs' queue wait.
+	// latHist streams every submission's end-to-end latency (seconds),
+	// fast-path hits included, into a bounded histogram for /metrics;
+	// latEx pins one exemplar trace ID per bucket so a latency spike on
+	// the histogram resolves to the trace that caused it. jobHist
+	// streams only the jobs that ran through the scheduler (the
+	// job-latency summary), queueHist leader jobs' queue wait. All four
+	// are bounded: serving more requests does not grow them.
 	histMu    sync.Mutex
 	latHist   *hdrhist.Hist
 	latEx     *hdrhist.Exemplars
+	jobHist   *hdrhist.Hist
 	queueHist *hdrhist.Hist
 
 	mu       sync.Mutex
@@ -314,6 +316,7 @@ func New(cfg Config) (*Server, error) {
 		started:   time.Now(),
 		jobs:      make(map[string]*Job),
 		latHist:   hdrhist.New(hdrhist.Config{}),
+		jobHist:   hdrhist.New(hdrhist.Config{}),
 		queueHist: hdrhist.New(hdrhist.Config{}),
 	}
 	s.latEx = hdrhist.NewExemplars(s.latHist)
@@ -731,22 +734,20 @@ func (s *Server) finish(j *Job, bytes []byte, err error) {
 			j.status = StatusDone
 			j.result = bytes
 		}
-		kind := j.spec.Kind
 		j.mu.Unlock()
 		if err != nil {
 			s.rec.Add("labd.jobs.failed", 1)
 		} else {
 			s.rec.Add("labd.jobs.completed", 1)
 		}
-		// Job latency lands on the "labd" track; /metrics summarizes the
-		// span durations as jvmgc_labd_job_latency_seconds and streams
-		// them into the bounded latency histogram. A traced job leaves
-		// its trace ID as the bucket's exemplar, so the histogram's tail
-		// points at the trace that put a request there.
+		// Job latency streams into the bounded histograms behind /metrics'
+		// jvmgc_labd_job_latency_seconds summary and latency histogram. A
+		// traced job leaves its trace ID as the bucket's exemplar, so the
+		// histogram's tail points at the trace that put a request there.
 		elapsed := time.Since(j.enqueued)
-		s.rec.Span("labd", kind, 0, simtime.FromStd(elapsed), 0)
 		now := time.Now()
 		s.histMu.Lock()
+		s.jobHist.Record(elapsed.Seconds())
 		if id := j.trace.ID(); !id.IsZero() {
 			s.latEx.Observe(elapsed.Seconds(), id.String(), float64(now.UnixNano())/1e9)
 		} else {

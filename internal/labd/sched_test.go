@@ -3,6 +3,9 @@ package labd
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,5 +210,44 @@ func TestDrainRejectsAndFinishes(t *testing.T) {
 	}
 	if _, err := s.Submit(SubmitRequest{Job: simSpec(9)}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit: got %v, want ErrDraining", err)
+	}
+}
+
+// TestCacheHitsLeaveRecorderBounded: cache hits served through the
+// scheduler (the path every traced request takes) add nothing to the
+// daemon's recorder, so its memory does not grow with requests served,
+// while the job-latency summary still counts every scheduled job.
+func TestCacheHitsLeaveRecorderBounded(t *testing.T) {
+	s := stubServer(t, Config{Workers: 1, QueueDepth: 4},
+		func(_ context.Context, spec JobSpec, _ int) (*JobResult, error) {
+			return &JobResult{Kind: spec.Kind, Spec: spec, Text: "ok"}, nil
+		})
+	submit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			j, err := s.Submit(SubmitRequest{Job: simSpec(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			if _, err := j.Result(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submit(10) // one miss, then hits
+	spans := len(s.Recorder().Spans())
+	submit(990)
+	if got := s.Recorder().Counter("labd.cache.hits"); got != 999 {
+		t.Fatalf("cache hits = %d, want 999", got)
+	}
+	if got := len(s.Recorder().Spans()); got != spans {
+		t.Errorf("recorder spans grew from %d to %d over 990 cache hits", spans, got)
+	}
+
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if want := fmt.Sprintf("jvmgc_labd_job_latency_seconds_count %d\n", 1000); !strings.Contains(rr.Body.String(), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }

@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Interval is a half-open time interval [Start, End) in seconds, used to
 // represent GC pauses when correlating them with request latencies.
@@ -61,13 +64,23 @@ type BandReport struct {
 // paper's tables arrive at 0.0% there while every exceedance band shows
 // ~100%.
 //
-// The pause/request correlation is one merged two-pointer sweep: with
-// samples sorted by completion and pauses by start, the first candidate
-// sample for each pause only moves forward, and each pause's scan stops
-// exactly at completion > pause end + max latency — past that bound no
-// sample's service interval can reach back into the pause. Band request
-// counts come from one sorted latency slice via binary search instead
-// of a full pass per band.
+// Nothing is sorted but the pauses, and the samples are read twice:
+//
+//   - A Welford pass yields N, AVG, MIN and MAX. Every band edge is a
+//     multiple of AVG, so the edges are known before the second pass,
+//     which counts each sample against them with the same float
+//     comparisons a sorted search would make: ≥ 0.5×AVG, > 1.5×AVG,
+//     and how many of the ascending 2ⁿ×AVG edges it exceeds.
+//   - The same pass correlates the sample with the pauses. Pauses are
+//     sorted by start and carry a running maximum of their ends; a
+//     binary search finds the first pause starting at or after the
+//     sample's completion, and the walk back from there stops once that
+//     running maximum no longer reaches past the sample's start — no
+//     earlier pause can overlap it. Every pause in between is tested
+//     with Interval.Overlaps, so samples may arrive in any order and
+//     pauses may overlap one another (a cluster's merged node pauses).
+//
+// Latencies are durations: a negative one is outside the contract.
 func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64) BandReport {
 	var rep BandReport
 	if len(samples) == 0 {
@@ -82,65 +95,96 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 	rep.MinMS = w.Min()
 	rep.MaxMS = w.Max()
 	avg := rep.AvgMS
-	n := float64(len(samples))
 
-	// Sort samples by completion for the overlap sweep, and latencies
-	// alone for the band membership counts.
-	byTime := append([]LatencySample(nil), samples...)
-	sort.Slice(byTime, func(i, j int) bool { return byTime[i].Completed < byTime[j].Completed })
-	lat := make([]float64, len(samples))
-	for i, s := range samples {
-		lat[i] = s.LatencyMS
-	}
-	sort.Float64s(lat)
-
-	// For each pause, find the worst overlapping latency and whether any
-	// overlapping request exists: pauses in start order share one
-	// monotone candidate pointer into the completion-sorted samples.
-	worst := make([]float64, len(pauses))
-	hasReq := make([]bool, len(pauses))
-	order := make([]int, len(pauses))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return pauses[order[a]].Start < pauses[order[b]].Start })
-	maxSec := rep.MaxMS / 1e3
-	lo := 0
-	for _, pi := range order {
-		p := pauses[pi]
-		// Only requests completing after the pause starts can overlap it;
-		// later pauses start no earlier, so the pointer never backs up.
-		for lo < len(byTime) && byTime[lo].Completed <= p.Start {
-			lo++
+	// The exceedance edges 2ⁿ×AVG as the band table computes them, up to
+	// the first one no latency exceeds (or the multiplier overflows).
+	var edges []float64
+	for mult := 2.0; !math.IsInf(mult, 1); mult *= 2 {
+		edge := mult * avg
+		edges = append(edges, edge)
+		if !(edge < rep.MaxMS) {
+			break
 		}
-		for i := lo; i < len(byTime); i++ {
-			s := byTime[i]
-			// Past this completion bound even the longest request's
-			// service interval starts after the pause ends.
-			if s.Completed > p.End+maxSec {
-				break
+	}
+
+	ps := append([]Interval(nil), pauses...)
+	sort.SliceStable(ps, func(a, b int) bool { return ps[a].Start < ps[b].Start })
+	reach := make([]float64, len(ps)) // reach[j]: latest end among ps[:j+1]
+	end := math.Inf(-1)
+	for j, p := range ps {
+		end = max(end, p.End)
+		reach[j] = end
+	}
+	worst := make([]float64, len(ps))
+	hasReq := make([]bool, len(ps))
+
+	bandLo, bandHi := 0.5*avg, 1.5*avg
+	atLeastLo, aboveHi := 0, 0
+	// exceed[k] counts the samples above exactly the first k edges.
+	exceed := make([]int, len(edges)+1)
+	for _, s := range samples {
+		lat := s.LatencyMS
+		if lat >= bandLo {
+			atLeastLo++
+		}
+		if lat > bandHi {
+			aboveHi++
+		}
+		k := 0
+		for k < len(edges) && lat > edges[k] {
+			k++
+		}
+		exceed[k]++
+
+		iv := s.interval()
+		lo, hi := 0, len(ps)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if ps[m].Start < iv.End {
+				lo = m + 1
+			} else {
+				hi = m
 			}
-			if s.interval().Overlaps(p) {
-				hasReq[pi] = true
-				if s.LatencyMS > worst[pi] {
-					worst[pi] = s.LatencyMS
+		}
+		for j := lo - 1; j >= 0 && reach[j] > iv.Start; j-- {
+			if iv.Overlaps(ps[j]) {
+				hasReq[j] = true
+				if lat > worst[j] {
+					worst[j] = lat
 				}
 			}
 		}
 	}
-	gcTotal := float64(len(pauses))
-
-	// countAbove returns how many latencies exceed thresh.
-	countAbove := func(thresh float64) int {
-		return len(lat) - sort.Search(len(lat), func(k int) bool { return lat[k] > thresh })
+	// Suffix sums turn exceed[k+1] into the count above edge k.
+	for k := len(edges) - 1; k >= 0; k-- {
+		exceed[k] += exceed[k+1]
 	}
+	countAbove := func(k int, _ float64) int {
+		if k+1 < len(exceed) {
+			return exceed[k+1]
+		}
+		return 0
+	}
+	fillBands(&rep, atLeastLo-aboveHi, countAbove, worst, hasReq, minReqPct)
+	return rep
+}
+
+// fillBands completes the band table of a report whose N and AVG are
+// set: the normal row from its request count, and the exceedance rows
+// >2x, >4x, … AVG from countAbove(k, thresh), the number of latencies
+// above the k-th edge thresh = 2ᵏ⁺¹×AVG. worst and hasReq describe each
+// pause: the highest latency of a request overlapping it, and whether
+// any request does.
+func fillBands(rep *BandReport, inNormal int, countAbove func(k int, thresh float64) int,
+	worst []float64, hasReq []bool, minReqPct float64) {
+	avg := rep.AvgMS
+	n := float64(rep.N)
+	gcTotal := float64(len(worst))
 
 	// Normal band: 0.5x–1.5x.
-	bandLo, bandHi := 0.5*avg, 1.5*avg
-	first := sort.Search(len(lat), func(k int) bool { return lat[k] >= bandLo })
-	inNormal := len(lat) - first - countAbove(bandHi)
+	bandHi := 1.5 * avg
 	quiet := 0
-	for pi := range pauses {
+	for pi := range worst {
 		if hasReq[pi] && worst[pi] <= bandHi {
 			quiet++
 		}
@@ -151,9 +195,9 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 	}
 
 	// Exceedance bands: >2x, >4x, >8x, ...
-	for mult := 2.0; ; mult *= 2 {
+	for k, mult := 0, 2.0; ; k, mult = k+1, mult*2 {
 		thresh := mult * avg
-		count := countAbove(thresh)
+		count := countAbove(k, thresh)
 		pct := 100 * float64(count) / n
 		if pct < minReqPct && len(rep.Above) > 0 {
 			break
@@ -161,8 +205,8 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 		row := BandRow{Label: bandLabel(mult), Reqs: pct}
 		if gcTotal > 0 {
 			hit := 0
-			for pi := range pauses {
-				if worst[pi] > thresh {
+			for _, wv := range worst {
+				if wv > thresh {
 					hit++
 				}
 			}
@@ -173,7 +217,6 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 			break
 		}
 	}
-	return rep
 }
 
 func bandLabel(mult float64) string {

@@ -138,6 +138,21 @@ func (s *PromSnapshot) Summary(name, help string, observations []float64) {
 	}
 }
 
+// SummaryHist is Summary over a streaming histogram, for observations
+// too many to keep: _sum and _count are exact, the quantiles are read
+// from the histogram's buckets (within its relative error bound). A nil
+// or empty histogram appends nothing.
+func (s *PromSnapshot) SummaryHist(name, help string, h *hdrhist.Hist) {
+	if h == nil || h.Count() == 0 {
+		return
+	}
+	vs := make([]float64, len(summaryQuantiles))
+	for i, q := range summaryQuantiles {
+		vs[i] = h.Quantile(q)
+	}
+	s.fams = append(s.fams, summaryRows(name, help, vs, h.Sum(), h.Count()))
+}
+
 // Histogram appends a histogram family rendered from a streaming
 // log-bucketed histogram: cumulative _bucket lines per non-empty bucket
 // (upper bound = bucket high edge) plus the +Inf bucket, _sum and
@@ -219,6 +234,9 @@ func (s *PromSnapshot) Write(w io.Writer) error {
 	return nil
 }
 
+// summaryQuantiles are the percentiles every summary family reports.
+var summaryQuantiles = []float64{50, 95, 99}
+
 func summaryFamily(name, help string, xs []float64) (promFamily, bool) {
 	if len(xs) == 0 {
 		return promFamily{}, false
@@ -227,18 +245,23 @@ func summaryFamily(name, help string, xs []float64) (promFamily, bool) {
 	for _, x := range xs {
 		sum += x
 	}
-	f := promFamily{name: name, typ: "summary", help: help}
-	qs := []float64{50, 95, 99}
-	vs, err := stats.Percentiles(xs, qs...)
+	vs, err := stats.Percentiles(xs, summaryQuantiles...)
 	if err != nil {
 		return promFamily{}, false
 	}
-	for i, q := range qs {
+	return summaryRows(name, help, vs, sum, uint64(len(xs))), true
+}
+
+// summaryRows renders a summary family: one quantile line per
+// summaryQuantiles entry (values vs), then _sum and _count.
+func summaryRows(name, help string, vs []float64, sum float64, count uint64) promFamily {
+	f := promFamily{name: name, typ: "summary", help: help}
+	for i, q := range summaryQuantiles {
 		f.lines = append(f.lines, fmt.Sprintf("%s%s{quantile=\"%g\"} %g",
 			promPrefix, name, q/100, vs[i]))
 	}
 	f.lines = append(f.lines,
 		fmt.Sprintf("%s%s_sum %g", promPrefix, name, sum),
-		fmt.Sprintf("%s%s_count %d", promPrefix, name, len(xs)))
-	return f, true
+		fmt.Sprintf("%s%s_count %d", promPrefix, name, count))
+	return f
 }

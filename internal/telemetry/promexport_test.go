@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/telemetry"
 )
 
@@ -69,5 +70,38 @@ func TestPromSnapshotRecorderCounters(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("counter families diverge:\nsnapshot:\n%s\nrecorder:\n%s",
 			got.String(), want.String())
+	}
+}
+
+// TestPromSnapshotSummaryHist: a summary rendered from a streaming
+// histogram has the same family shape as one over raw observations,
+// with exact _sum and _count and bucket-resolution quantiles; an empty
+// histogram renders nothing.
+func TestPromSnapshotSummaryHist(t *testing.T) {
+	h := hdrhist.New(hdrhist.Config{})
+	for _, v := range []float64{0.25, 0.5, 0.5, 1, 2} {
+		h.Record(v)
+	}
+	var snap telemetry.PromSnapshot
+	snap.SummaryHist("labd_job_latency_seconds", "Job latency.", h)
+	snap.SummaryHist("empty_seconds", "Nothing.", hdrhist.New(hdrhist.Config{}))
+	var buf bytes.Buffer
+	if err := snap.Write(&buf); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"# TYPE jvmgc_labd_job_latency_seconds summary",
+		"jvmgc_labd_job_latency_seconds{quantile=\"0.5\"} 0.5",
+		"jvmgc_labd_job_latency_seconds{quantile=\"0.99\"}",
+		"jvmgc_labd_job_latency_seconds_sum 4.25",
+		"jvmgc_labd_job_latency_seconds_count 5",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("snapshot missing %q in:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "empty_seconds") {
+		t.Errorf("empty histogram rendered a family:\n%s", out)
 	}
 }

@@ -152,6 +152,13 @@ func generate(server cassandra.Result, cfg TransactionConfig, pauses []stats.Int
 	ctrUpdate := cfg.Recorder.CounterHandle("ycsb.ops.update")
 	ctrShadowed := cfg.Recorder.CounterHandle("ycsb.ops.shadowed")
 	pi := 0
+	// Arrivals only move forward, so the database-size curve is walked
+	// with a cursor (server.RecordsAt's step function, read in order),
+	// and the read service time is recomputed only when the record
+	// count under the cursor changes.
+	records := server.Records
+	ri := 0
+	readBase := readStepMS(cfg.ReadBaseMS, 0)
 	t := cfg.StartAfter
 	for {
 		t += rng.Exp(1 / cfg.OpsPerSec)
@@ -165,7 +172,14 @@ func generate(server cassandra.Result, cfg TransactionConfig, pauses []stats.Int
 		}
 		if rng.Bool(readFrac) {
 			op.Type = Read
-			base := readStepMS(cfg.ReadBaseMS, server.RecordsAt(simtime.Time(simtime.Seconds(t))))
+			at, prev := simtime.Time(simtime.Seconds(t)), ri
+			for ri < len(records) && records[ri].Time <= at {
+				ri++
+			}
+			if ri != prev {
+				readBase = readStepMS(cfg.ReadBaseMS, records[ri-1].Records)
+			}
+			base := readBase
 			// Hot keys are served from the row cache faster.
 			if zipf.Scrambled() < cfg.KeySpace/10 {
 				base *= 0.85
@@ -222,7 +236,13 @@ func TransactionTrace(server cassandra.Result, cfg TransactionConfig) Trace {
 
 // Samples extracts the latency samples of one operation type.
 func (tr Trace) Samples(t OpType) []stats.LatencySample {
-	var out []stats.LatencySample
+	n := 0
+	for _, op := range tr.Ops {
+		if op.Type == t {
+			n++
+		}
+	}
+	out := make([]stats.LatencySample, 0, n)
 	for _, op := range tr.Ops {
 		if op.Type == t {
 			out = append(out, stats.LatencySample{Completed: op.Completed, LatencyMS: op.LatencyMS})
