@@ -7,11 +7,11 @@
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
 # fault-point overhead guard — a short differential fuzz of the band
 # analysis, and the bench-gate step, which measures the kernel-bound
-# benchmarks and the client latency study (Tables 5–7 and its band
-# analysis) and fails on regression against the
-# committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
-# allocation counts are deterministic, so an increase is a real leak
-# back onto the hot path).
+# benchmarks and the client latency study (Tables 5–7, its YCSB replay
+# and its band analysis) at GOMAXPROCS 1 and fails on regression against
+# the committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
+# allocation counts are deterministic at a fixed GOMAXPROCS, so an
+# increase is a real leak back onto the hot path).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -66,6 +66,11 @@ go test -race -count=1 -run 'TestShardsDeterministicAtAnyWorkerCount|TestPostBan
 go test -race -count=1 -run 'TestEnsembleByteIdentity' ./internal/jvm/
 go test -race -count=1 -run 'TestClusterDigestMatrix' ./internal/cluster/
 go test -count=1 -run 'TestSeed42EvaluationDigest' ./internal/core/
+# The chunked YCSB replay under the race detector: helper goroutines
+# transform the uniforms the caller draws, and the trace, streamed
+# statistics, counters and spans must equal the sequential oracle's at
+# 1/2/3/8 workers, with the horizon on and next to chunk edges.
+go test -race -count=1 -run 'TestReplayMatchesSequential|TestReplayHorizonAtChunkEdges' ./internal/ycsb/
 # Differential fuzz of the linear-time band analysis against the
 # sort-based oracle kept in its tests. Minimization is capped by count:
 # left at its 60 s default, shrinking one large interesting input can
@@ -74,18 +79,23 @@ go test -run=NONE -fuzz=FuzzAnalyzeBands -fuzztime=10s -fuzzminimizetime=200x ./
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.
+# Every run is pinned to GOMAXPROCS 1 (-cpu 1), the setting the baseline
+# was captured at: parallel runners allocate per worker, so allocs/op
+# differ between settings, and benchdiff refuses to compare results
+# taken at different ones.
 go build -o /tmp/benchdiff ./cmd/benchdiff
 {
-  go test -run=NONE -bench 'BenchmarkFigure3Ranking' -benchmem -benchtime=5x -count=2 .
-  go test -run=NONE -bench 'BenchmarkTables567LatencyBands' -benchmem -benchtime=2x -count=2 .
-  go test -run=NONE -bench 'BenchmarkAnalyzeBands' -benchmem -count=2 ./internal/stats/
-  go test -run=NONE -bench 'BenchmarkSimulatedHour' -benchmem -benchtime=10x -count=2 ./internal/jvm/
-  go test -run=NONE -bench 'BenchmarkClusterStep' -benchmem -benchtime=3x -count=2 ./internal/cluster/
-  go test -run=NONE -bench 'BenchmarkColdRun|BenchmarkCacheHit|BenchmarkSubmitCacheHit' -benchmem -count=2 ./internal/labd/
-  go test -run=NONE -bench 'BenchmarkScheduleFire|BenchmarkScheduleCancel' -benchmem -count=2 ./internal/event/
-  go test -run=NONE -bench 'BenchmarkHDRRecord|BenchmarkHDRQuantile' -benchmem -count=2 ./internal/hdrhist/
-  go test -run=NONE -bench 'BenchmarkSweepImbalance|BenchmarkFIFOImbalance' -benchmem -count=2 ./internal/sweep/
-  go test -run=NONE -bench 'BenchmarkRingLookup|BenchmarkRouterPick|BenchmarkRouterForward|BenchmarkHandoffPlan' -benchmem -count=2 ./internal/fleet/
-  go test -run=NONE -bench 'BenchmarkGossipTick' -benchmem -count=2 ./internal/fleet/gossip/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkFigure3Ranking' -benchmem -benchtime=5x -count=2 .
+  go test -run=NONE -cpu 1 -bench 'BenchmarkTables567LatencyBands' -benchmem -benchtime=2x -count=2 .
+  go test -run=NONE -cpu 1 -bench 'BenchmarkTransactionTrace' -benchmem -benchtime=3x -count=2 ./internal/ycsb/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkAnalyzeBands' -benchmem -count=2 ./internal/stats/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkSimulatedHour' -benchmem -benchtime=10x -count=2 ./internal/jvm/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkClusterStep' -benchmem -benchtime=3x -count=2 ./internal/cluster/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkColdRun|BenchmarkCacheHit|BenchmarkSubmitCacheHit' -benchmem -count=2 ./internal/labd/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkScheduleFire|BenchmarkScheduleCancel' -benchmem -count=2 ./internal/event/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkHDRRecord|BenchmarkHDRQuantile' -benchmem -count=2 ./internal/hdrhist/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkSweepImbalance|BenchmarkFIFOImbalance' -benchmem -count=2 ./internal/sweep/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkRingLookup|BenchmarkRouterPick|BenchmarkRouterForward|BenchmarkHandoffPlan' -benchmem -count=2 ./internal/fleet/
+  go test -run=NONE -cpu 1 -bench 'BenchmarkGossipTick' -benchmem -count=2 ./internal/fleet/gossip/
 } > /tmp/bench_current.txt
 /tmp/benchdiff -in /tmp/bench_current.txt -out /tmp/BENCH_current.json -baseline BENCH_baseline.json

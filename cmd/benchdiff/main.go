@@ -10,9 +10,11 @@
 // given), 1 on regression, 2 on usage or parse errors. A benchmark in the
 // baseline regresses when its ns/op exceeds the baseline by more than
 // -max-ns-ratio allows, when its allocs/op increases at all (allocation
-// counts are deterministic; see -alloc-slack), or when it disappears from
-// the current run. Benchmarks absent from the baseline are recorded in
-// the output report but not gated.
+// counts are deterministic at a fixed GOMAXPROCS; see -alloc-slack), or
+// when it disappears from the current run. A benchmark measured only at a
+// different GOMAXPROCS than the baseline recorded fails with a message
+// naming both settings instead of being compared. Benchmarks absent from
+// the baseline are recorded in the output report but not gated.
 package main
 
 import (

@@ -25,9 +25,14 @@ import (
 
 // Result is one benchmark's measurements.
 type Result struct {
-	// Name is the benchmark name with any -GOMAXPROCS suffix stripped,
-	// so reports compare across machines with different core counts.
+	// Name is the benchmark name with any -GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran at: the stripped suffix,
+	// or 1 when `go test` printed none. Allocation counts depend on it
+	// (a parallel runner allocates per worker), so Compare gates only
+	// results taken at the same setting. Zero means unrecorded and
+	// matches any setting.
+	Procs int `json:"procs,omitempty"`
 	// N is the iteration count of the (fastest) kept run.
 	N int64 `json:"n"`
 	// NsPerOp is wall-clock nanoseconds per operation.
@@ -46,6 +51,17 @@ type Report struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
+// lookupProcs returns the named result measured at procs, where a zero
+// Procs on either side matches any setting.
+func (r Report) lookupProcs(name string, procs int) (Result, bool) {
+	for _, b := range r.Benchmarks {
+		if b.Name == name && (b.Procs == procs || b.Procs == 0 || procs == 0) {
+			return b, true
+		}
+	}
+	return Result{}, false
+}
+
 // Lookup returns the named result and whether it exists.
 func (r Report) Lookup(name string) (Result, bool) {
 	for _, b := range r.Benchmarks {
@@ -57,17 +73,22 @@ func (r Report) Lookup(name string) (Result, bool) {
 }
 
 // gomaxprocsSuffix matches the "-8" tail `go test` appends to benchmark
-// names.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+// names run at GOMAXPROCS other than 1.
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // Parse reads `go test -bench` text output. Lines that are not benchmark
 // results (package headers, PASS/ok, log noise) are skipped. Repeated
-// runs of the same benchmark (-count > 1) are merged: ns/op, B/op, and
-// allocs/op keep their minimum across runs — the least-noise observation
-// — and custom metrics keep the value from the fastest run.
+// runs of the same benchmark at the same GOMAXPROCS (-count > 1) are
+// merged: ns/op, B/op, and allocs/op keep their minimum across runs — the
+// least-noise observation — and custom metrics keep the value from the
+// fastest run. Runs at different GOMAXPROCS (-cpu 1,2) stay separate.
 func Parse(r io.Reader) (Report, error) {
+	type key struct {
+		name  string
+		procs int
+	}
 	var rep Report
-	idx := map[string]int{}
+	idx := map[key]int{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -82,10 +103,11 @@ func Parse(r io.Reader) (Report, error) {
 		if !ok {
 			continue
 		}
-		if i, seen := idx[res.Name]; seen {
+		k := key{res.Name, res.Procs}
+		if i, seen := idx[k]; seen {
 			rep.Benchmarks[i] = merge(rep.Benchmarks[i], res)
 		} else {
-			idx[res.Name] = len(rep.Benchmarks)
+			idx[k] = len(rep.Benchmarks)
 			rep.Benchmarks = append(rep.Benchmarks, res)
 		}
 	}
@@ -93,7 +115,11 @@ func Parse(r io.Reader) (Report, error) {
 		return Report{}, err
 	}
 	sort.Slice(rep.Benchmarks, func(i, j int) bool {
-		return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name
+		a, b := rep.Benchmarks[i], rep.Benchmarks[j]
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return a.Procs < b.Procs
 	})
 	return rep, nil
 }
@@ -106,7 +132,11 @@ func parseLine(line string) (Result, bool, error) {
 	if len(f) < 4 {
 		return Result{}, false, nil
 	}
-	res := Result{Name: gomaxprocsSuffix.ReplaceAllString(f[0], "")}
+	res := Result{Name: f[0], Procs: 1}
+	if m := gomaxprocsSuffix.FindStringSubmatchIndex(f[0]); m != nil {
+		res.Name = f[0][:m[0]]
+		res.Procs, _ = strconv.Atoi(f[0][m[2]:m[3]])
+	}
 	n, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
 		return Result{}, false, nil
@@ -198,7 +228,7 @@ const DefaultMaxNsRatio = 1.25
 // Delta is one benchmark's baseline-vs-current evaluation.
 type Delta struct {
 	Name      string
-	Metric    string // "ns/op", "allocs/op", or "missing"
+	Metric    string // "ns/op", "allocs/op", "missing", or "procs"
 	Base, Cur float64
 	Ratio     float64
 	Regressed bool
@@ -210,8 +240,12 @@ func (d Delta) String() string {
 	if d.Regressed {
 		status = "REGRESSED"
 	}
-	if d.Metric == "missing" {
+	switch d.Metric {
+	case "missing":
 		return fmt.Sprintf("%-40s %-10s benchmark missing from current run  %s", d.Name, d.Metric, status)
+	case "procs":
+		return fmt.Sprintf("%-40s %-10s baseline procs=%d, current procs=%d: not comparable, run with -cpu %d  %s",
+			d.Name, d.Metric, int(d.Base), int(d.Cur), int(d.Base), status)
 	}
 	return fmt.Sprintf("%-40s %-10s %14.1f -> %14.1f  (%5.2fx)  %s",
 		d.Name, d.Metric, d.Base, d.Cur, d.Ratio, status)
@@ -222,16 +256,23 @@ func (d Delta) String() string {
 // its allocs/op count. Benchmarks present only in cur are ignored — new
 // benchmarks enter the gate when the baseline is regenerated. A baseline
 // benchmark missing from cur is itself a regression: a silently dropped
-// benchmark would otherwise retire its gate.
+// benchmark would otherwise retire its gate. A benchmark measured only at
+// another GOMAXPROCS than the baseline's fails with a "procs" delta
+// instead of being compared: its allocation counts differ for that
+// reason alone.
 func Compare(base, cur Report, th Thresholds) []Delta {
 	if th.MaxNsRatio <= 0 {
 		th.MaxNsRatio = DefaultMaxNsRatio
 	}
 	var out []Delta
 	for _, b := range base.Benchmarks {
-		c, ok := cur.Lookup(b.Name)
+		c, ok := cur.lookupProcs(b.Name, b.Procs)
 		if !ok {
-			out = append(out, Delta{Name: b.Name, Metric: "missing", Regressed: true})
+			d := Delta{Name: b.Name, Metric: "missing", Regressed: true}
+			if other, ok := cur.Lookup(b.Name); ok {
+				d.Metric, d.Base, d.Cur = "procs", float64(b.Procs), float64(other.Procs)
+			}
+			out = append(out, d)
 			continue
 		}
 		d := Delta{Name: b.Name, Metric: "ns/op", Base: b.NsPerOp, Cur: c.NsPerOp}

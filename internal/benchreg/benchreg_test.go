@@ -160,3 +160,74 @@ func TestCompareAllocSlack(t *testing.T) {
 		t.Errorf("4%% alloc growth not flagged under 3%% slack: %v", regs)
 	}
 }
+
+func TestParseRecordsProcs(t *testing.T) {
+	// -cpu 1,2 prints the same benchmark bare (GOMAXPROCS 1) and with a
+	// -2 suffix; the two settings must stay separate results.
+	in := `BenchmarkX     	     100	   2000 ns/op	 500 B/op	 10 allocs/op
+BenchmarkX-2   	     120	   1500 ns/op	 520 B/op	 12 allocs/op
+BenchmarkX     	     110	   1800 ns/op	 500 B/op	 10 allocs/op
+BenchmarkY/workers=2-8 	  10	   9000 ns/op
+`
+	rep, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("parsed %+v, want X at procs 1 and 2, and Y", rep.Benchmarks)
+	}
+	want := []struct {
+		name   string
+		procs  int
+		ns     float64
+		allocs float64
+	}{
+		{"BenchmarkX", 1, 1800, 10},
+		{"BenchmarkX", 2, 1500, 12},
+		{"BenchmarkY/workers=2", 8, 9000, 0},
+	}
+	for i, w := range want {
+		got := rep.Benchmarks[i]
+		if got.Name != w.name || got.Procs != w.procs || got.NsPerOp != w.ns || got.AllocsPerOp != w.allocs {
+			t.Errorf("result %d = %+v, want %+v", i, got, w)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Benchmarks[1].Procs != 2 {
+		t.Errorf("procs lost in the JSON round trip: %+v", back.Benchmarks[1])
+	}
+}
+
+func TestCompareProcsMismatchIsExplicit(t *testing.T) {
+	// A parallel runner allocates per worker, so the same code measures
+	// more allocs/op at GOMAXPROCS 2 than at 1. That must fail as a
+	// procs mismatch, not as an allocation regression.
+	b := bench("BenchmarkFigure3Ranking", 5e6, 13872)
+	b.Procs = 1
+	c := bench("BenchmarkFigure3Ranking", 4e6, 13910)
+	c.Procs = 2
+	regs := Regressions(Compare(Report{Benchmarks: []Result{b}}, Report{Benchmarks: []Result{c}}, Thresholds{}))
+	if len(regs) != 1 || regs[0].Metric != "procs" {
+		t.Fatalf("procs mismatch reported as %v", regs)
+	}
+	if s := regs[0].String(); !strings.Contains(s, "baseline procs=1, current procs=2") {
+		t.Errorf("message %q does not name both settings", s)
+	}
+	// The same settings compare as before, and an unrecorded baseline
+	// setting matches any.
+	c.Procs = 1
+	if regs := Regressions(Compare(Report{Benchmarks: []Result{b}}, Report{Benchmarks: []Result{c}}, Thresholds{})); len(regs) != 1 || regs[0].Metric != "allocs/op" {
+		t.Errorf("same-procs alloc growth reported as %v", regs)
+	}
+	b.Procs, c.Procs = 0, 2
+	if regs := Regressions(Compare(Report{Benchmarks: []Result{b}}, Report{Benchmarks: []Result{c}}, Thresholds{})); len(regs) != 1 || regs[0].Metric != "allocs/op" {
+		t.Errorf("unrecorded baseline procs reported as %v", regs)
+	}
+}

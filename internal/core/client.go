@@ -86,6 +86,7 @@ func (l *Lab) ClientLatencyStudy(gc string) (ClientExperiment, error) {
 		OpsPerSec:    150,
 		StartAfter:   srv.ReplayDuration.Seconds(),
 		Seed:         l.Seed + 99,
+		Workers:      l.workers(),
 	}
 	if l.StreamingStats {
 		st := ycsb.TransactionStream(srv, tcfg, 0.01, clientTopK)

@@ -35,8 +35,10 @@ type Lab struct {
 	// (paper: 2 h).
 	ClientDuration float64 // seconds
 	// Parallelism bounds the work-stealing runner fanning independent
-	// experiment runs across cores; 0 selects GOMAXPROCS. Results are
-	// byte-identical at any setting.
+	// experiment runs across cores, and the goroutines each client-study
+	// replay spreads its random-number math over
+	// (ycsb.TransactionConfig.Workers); 0 selects GOMAXPROCS. Results
+	// are byte-identical at any setting.
 	Parallelism int
 	// StreamingStats selects bounded-memory statistics for the
 	// client-server study: per-op latencies fold into log-bucketed

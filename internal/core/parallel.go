@@ -39,3 +39,7 @@ func collectorCost(gc string) float64 {
 		return 1.0
 	}
 }
+
+// workers is the resolved Parallelism: the worker count of the sweep
+// runner, and of each client-study replay's random-number math.
+func (l *Lab) workers() int { return sweep.ResolveWorkers(l.Parallelism) }

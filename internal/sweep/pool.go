@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 )
 
@@ -85,10 +84,7 @@ func (d *poolDeque) popBack() (func(int), bool) {
 
 // NewPool builds a pool and starts its workers.
 func NewPool(opts PoolOptions) *Pool {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := ResolveWorkers(opts.Workers)
 	limit := opts.QueueLimit
 	if limit <= 0 {
 		limit = 64

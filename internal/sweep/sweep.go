@@ -42,6 +42,15 @@ type Options struct {
 	Cost func(i int) float64
 }
 
+// ResolveWorkers returns the worker count a Workers setting selects:
+// the setting itself when positive, GOMAXPROCS otherwise.
+func ResolveWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
 // Run executes fn(i) for every i in [0, n) and returns the first error
 // in index order (not completion order). With one worker, tasks run
 // sequentially in deal order and Run stops at the first error; with
@@ -51,10 +60,7 @@ func Run(opts Options, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := ResolveWorkers(opts.Workers)
 	if workers > n {
 		workers = n
 	}

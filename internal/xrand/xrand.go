@@ -130,6 +130,14 @@ func (r *Rand) Bool(p float64) bool {
 // NormFloat64 returns a standard-normally distributed float64, using the
 // polar (Marsaglia) method.
 func (r *Rand) NormFloat64() float64 {
+	return PolarNormal(r.PolarPair())
+}
+
+// PolarPair draws the polar method's accepted pair: u uniform in (-1, 1)
+// and s = u²+v² in (0, 1), the rejected pairs consumed from the stream.
+// PolarNormal maps the pair to the deviate NormFloat64 returns, so a
+// caller can draw pairs in stream order and do the math elsewhere.
+func (r *Rand) PolarPair() (u, s float64) {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
@@ -137,17 +145,27 @@ func (r *Rand) NormFloat64() float64 {
 		if s >= 1 || s == 0 {
 			continue
 		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
+		return u, s
 	}
+}
+
+// PolarNormal is the standard normal deviate of an accepted polar pair.
+func PolarNormal(u, s float64) float64 {
+	return u * math.Sqrt(-2*math.Log(s)/s)
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1
 // (mean 1).
 func (r *Rand) ExpFloat64() float64 {
+	return -math.Log(r.PositiveFloat64())
+}
+
+// PositiveFloat64 returns a uniformly distributed float64 in (0, 1):
+// Float64 with zero redrawn. ExpFloat64 is -Log of it.
+func (r *Rand) PositiveFloat64() float64 {
 	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
+		if u := r.Float64(); u > 0 {
+			return u
 		}
 	}
 }

@@ -169,6 +169,42 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+func TestNormAndExpMatchInlineReference(t *testing.T) {
+	// NormFloat64 and ExpFloat64 are built from PolarPair/PolarNormal and
+	// PositiveFloat64 so callers can draw and transform separately; the
+	// composition must reproduce the inline loops bit for bit, stream
+	// position included.
+	got, ref := New(9), New(9)
+	for i := 0; i < 200_000; i++ {
+		var want float64
+		if i%2 == 0 {
+			for {
+				u := 2*ref.Float64() - 1
+				v := 2*ref.Float64() - 1
+				s := u*u + v*v
+				if s >= 1 || s == 0 {
+					continue
+				}
+				want = u * math.Sqrt(-2*math.Log(s)/s)
+				break
+			}
+			if g := got.NormFloat64(); g != want {
+				t.Fatalf("draw %d: NormFloat64 = %v, reference %v", i, g, want)
+			}
+			continue
+		}
+		for {
+			if u := ref.Float64(); u > 0 {
+				want = -math.Log(u)
+				break
+			}
+		}
+		if g := got.ExpFloat64(); g != want {
+			t.Fatalf("draw %d: ExpFloat64 = %v, reference %v", i, g, want)
+		}
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	r := New(19)
 	const n = 200000

@@ -18,6 +18,8 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	// second is 1+0.5^theta, the u*zetan edge below which the draw is 1.
+	second float64
 }
 
 // NewZipf returns a zipfian generator over [0, n) with parameter theta in
@@ -34,6 +36,7 @@ func NewZipf(r *Rand, n uint64, theta float64) *Zipf {
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.second = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -99,13 +102,18 @@ func (z *Zipf) N() uint64 { return z.n }
 
 // Next returns the next zipfian-distributed value in [0, n). The most
 // popular item is 0.
-func (z *Zipf) Next() uint64 {
-	u := z.r.Float64()
+func (z *Zipf) Next() uint64 { return z.At(z.r.Float64()) }
+
+// At returns the zipfian value the uniform u in [0, 1) maps to: Next is
+// At of the generator's next uniform. It reads only the generator's
+// constants, so callers that draw the uniforms themselves may evaluate
+// it concurrently.
+func (z *Zipf) At(u float64) uint64 {
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -118,8 +126,10 @@ func (z *Zipf) Next() uint64 {
 // Scrambled returns the next zipfian value scrambled over the full domain
 // with an FNV-style hash, as YCSB's ScrambledZipfianGenerator does, so hot
 // keys are spread across the keyspace rather than clustered at the front.
-func (z *Zipf) Scrambled() uint64 {
-	v := z.Next()
+func (z *Zipf) Scrambled() uint64 { return z.Scramble(z.Next()) }
+
+// Scramble maps a zipfian value v to its Scrambled position.
+func (z *Zipf) Scramble(v uint64) uint64 {
 	h := v*0xc6a4a7935bd1e995 + 0x9e3779b97f4a7c15
 	h ^= h >> 29
 	h *= 0xff51afd7ed558ccd

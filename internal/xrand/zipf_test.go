@@ -95,6 +95,122 @@ func TestZipfScrambledSpreadsHotKey(t *testing.T) {
 	}
 }
 
+// refNext is Next as it stood before At hoisted 1+0.5^theta into
+// NewZipf: the reference the hoisted form must reproduce bit for bit.
+func refNext(z *Zipf, u float64) uint64 {
+	uz := u * z.zetan
+	if uz < 1 {
+		return 0
+	}
+	if uz < 1+math.Pow(0.5, z.theta) {
+		return 1
+	}
+	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	return v
+}
+
+// refScramble is the pre-change Scrambled hash.
+func refScramble(v, n uint64) uint64 {
+	h := v*0xc6a4a7935bd1e995 + 0x9e3779b97f4a7c15
+	h ^= h >> 29
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 32
+	return h % n
+}
+
+// zipfShapes are the (n, theta) pairs the reference tests cover: the
+// YCSB keyspace, workload D's shrunken one, and small domains where the
+// two head branches hold most of the mass. At theta 0.011, 1+0.5^theta
+// is one ulp below zeta(2, theta), so an edge taken from the zeta table
+// would show.
+var zipfShapes = []struct {
+	n     uint64
+	theta float64
+}{
+	{10_000_000, 0.99},
+	{100_000, 0.99},
+	{1000, 0.5},
+	{1000, 0.011},
+	{2, 0.99},
+}
+
+func TestZipfMatchesReferenceFormula(t *testing.T) {
+	const draws = 1 << 20 // split over the shapes, Next and Scrambled
+	per := draws / (2 * len(zipfShapes))
+	for i, c := range zipfShapes {
+		z := NewZipf(New(uint64(100+i)), c.n, c.theta)
+		ref := *z.r // the same stream, drawn independently
+		for k := 0; k < per; k++ {
+			u := ref.Float64()
+			if got, want := z.Next(), refNext(z, u); got != want {
+				t.Fatalf("n=%d theta=%v draw %d: Next = %d, reference %d (u=%v)", c.n, c.theta, k, got, want, u)
+			}
+		}
+		ref = *z.r
+		for k := 0; k < per; k++ {
+			u := ref.Float64()
+			if got, want := z.Scrambled(), refScramble(refNext(z, u), c.n); got != want {
+				t.Fatalf("n=%d theta=%v draw %d: Scrambled = %d, reference %d (u=%v)", c.n, c.theta, k, got, want, u)
+			}
+		}
+	}
+}
+
+func TestZipfAtBranchEdges(t *testing.T) {
+	// Walk a few ulps either side of both branch edges: u*zetan = 1
+	// (value 0 below, 1 above) and u*zetan = 1+0.5^theta (1 below, the
+	// Pow branch above). Every probe must match the reference, and each
+	// edge must really be crossed.
+	for _, c := range zipfShapes {
+		z := NewZipf(New(1), c.n, c.theta)
+		for _, edge := range []float64{1, 1 + math.Pow(0.5, c.theta)} {
+			mid := edge / z.zetan
+			below, above := false, false
+			probe := func(u float64) {
+				if u < 0 || u >= 1 {
+					return
+				}
+				if got, want := z.At(u), refNext(z, u); got != want {
+					t.Fatalf("n=%d theta=%v u=%v: At = %d, reference %d", c.n, c.theta, u, got, want)
+				}
+				if u*z.zetan < edge {
+					below = true
+				} else {
+					above = true
+				}
+			}
+			lo, hi := mid, mid
+			probe(mid)
+			for k := 0; k < 8; k++ {
+				lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 1)
+				probe(lo)
+				probe(hi)
+			}
+			if mid < 1 && (!below || !above) {
+				t.Errorf("n=%d theta=%v edge %v: probes below=%v above=%v", c.n, c.theta, edge, below, above)
+			}
+		}
+	}
+}
+
+func TestZipfAtMatchesScrambledStream(t *testing.T) {
+	// A caller that draws the uniforms itself and maps them through At
+	// and Scramble must see exactly what Scrambled returns on the same
+	// stream.
+	for i, c := range zipfShapes {
+		z := NewZipf(New(uint64(200+i)), c.n, c.theta)
+		u := New(uint64(200 + i))
+		for k := 0; k < 100_000; k++ {
+			if got, want := z.Scramble(z.At(u.Float64())), z.Scrambled(); got != want {
+				t.Fatalf("n=%d theta=%v draw %d: Scramble(At(u)) = %d, Scrambled %d", c.n, c.theta, k, got, want)
+			}
+		}
+	}
+}
+
 func TestZetaStaticApproximation(t *testing.T) {
 	// The large-n approximation must agree with brute force within 0.1%.
 	const n = 1<<20 + 50000

@@ -36,12 +36,16 @@ type StreamTrace struct {
 // Trace.Bands; topK sizes the high-latency reservoir backing TopPoints
 // (0 keeps none).
 func TransactionStream(server cassandra.Result, cfg TransactionConfig, minReqPct float64, topK int) StreamTrace {
+	return transactionStream(server, cfg, minReqPct, topK, generate)
+}
+
+func transactionStream(server cassandra.Result, cfg TransactionConfig, minReqPct float64, topK int, replay replayFunc) StreamTrace {
 	cfg = cfg.withDefaults()
 	pauses := clientPauses(server, cfg.StartAfter)
 	readAcc := stats.NewBandAccumulator(pauses, minReqPct)
 	updateAcc := stats.NewBandAccumulator(pauses, minReqPct)
 	st := StreamTrace{Pauses: pauses, top: newTopReservoir(topK)}
-	generate(server, cfg, pauses, func(op Op) {
+	replay(server, cfg, pauses, func(op Op) {
 		s := stats.LatencySample{Completed: op.Completed, LatencyMS: op.LatencyMS}
 		if op.Type == Read {
 			st.Reads++

@@ -1,12 +1,17 @@
 package ycsb
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"jvmgc/internal/cassandra"
 	"jvmgc/internal/machine"
 	"jvmgc/internal/simtime"
+	"jvmgc/internal/stats"
+	"jvmgc/internal/telemetry"
+	"jvmgc/internal/xrand"
 )
 
 // testServer runs a small server whose pauses the trace tests replay
@@ -236,5 +241,247 @@ func TestDescribe(t *testing.T) {
 	tr := TransactionTrace(srv, txnCfg())
 	if s := tr.Describe(); s == "" {
 		t.Error("empty description")
+	}
+}
+
+// generateSequential is the replay as it stood before the chunked
+// pipeline: one operation at a time, each draw followed by its math. It
+// is the oracle of the differential tests below.
+func generateSequential(server cassandra.Result, cfg TransactionConfig, pauses []stats.Interval, visit func(op Op)) {
+	rng := xrand.New(cfg.Seed).SplitLabeled("ycsb/txn/" + server.Config.CollectorName)
+	zipf := xrand.NewZipf(rng.Split(), cfg.KeySpace, cfg.ZipfTheta)
+	horizon := server.TotalDuration.Seconds()
+	ctrRead := cfg.Recorder.CounterHandle("ycsb.ops.read")
+	ctrUpdate := cfg.Recorder.CounterHandle("ycsb.ops.update")
+	ctrShadowed := cfg.Recorder.CounterHandle("ycsb.ops.shadowed")
+	pi := 0
+	records := server.Records
+	ri := 0
+	readBase := readStepMS(cfg.ReadBaseMS, 0)
+	t := cfg.StartAfter
+	for {
+		t += rng.Exp(1 / cfg.OpsPerSec)
+		if t >= horizon {
+			break
+		}
+		var op Op
+		readFrac := cfg.ReadFraction
+		if readFrac < 0 {
+			readFrac = 0
+		}
+		if rng.Bool(readFrac) {
+			op.Type = Read
+			at, prev := simtime.Time(simtime.Seconds(t)), ri
+			for ri < len(records) && records[ri].Time <= at {
+				ri++
+			}
+			if ri != prev {
+				readBase = readStepMS(cfg.ReadBaseMS, records[ri-1].Records)
+			}
+			base := readBase
+			if zipf.Scrambled() < cfg.KeySpace/10 {
+				base *= 0.85
+			}
+			op.LatencyMS = rng.LogNormal(math.Log(base), 0.18)
+		} else {
+			op.Type = Update
+			op.LatencyMS = rng.LogNormal(math.Log(cfg.UpdateBaseMS), 0.12)
+		}
+		for pi < len(pauses) && pauses[pi].End <= t {
+			pi++
+		}
+		if pi < len(pauses) && t >= pauses[pi].Start && t < pauses[pi].End {
+			op.LatencyMS += (pauses[pi].End - t) * 1e3
+			op.Shadowed = true
+		}
+		op.Completed = t + op.LatencyMS/1e3
+		visit(op)
+		if cfg.Recorder != nil {
+			if op.Type == Read {
+				ctrRead.Add(1)
+			} else {
+				ctrUpdate.Add(1)
+			}
+			if op.Shadowed {
+				ctrShadowed.Add(1)
+				cfg.Recorder.Span(telemetry.TrackClient, op.Type.String(),
+					simtime.Time(simtime.Seconds(t)),
+					simtime.Seconds(op.LatencyMS/1e3), 0,
+					telemetry.Num("latency_ms", op.LatencyMS),
+				)
+			}
+		}
+	}
+}
+
+// replayOutcome is everything one replay produces: the exact trace, the
+// streamed statistics, and the telemetry each of them recorded.
+type replayOutcome struct {
+	trace                   Trace
+	stream                  StreamTrace
+	traceSpans, streamSpans []telemetry.Span
+	traceCtrs, streamCtrs   []telemetry.Counter
+}
+
+func replayWith(srv cassandra.Result, cfg TransactionConfig, replay replayFunc) replayOutcome {
+	var out replayOutcome
+	rec := telemetry.New(telemetry.Config{})
+	cfg.Recorder = rec
+	out.trace = transactionTrace(srv, cfg, replay)
+	out.traceSpans, out.traceCtrs = rec.Spans(), rec.Counters()
+	rec = telemetry.New(telemetry.Config{})
+	cfg.Recorder = rec
+	out.stream = transactionStream(srv, cfg, 0.01, 500, replay)
+	out.streamSpans, out.streamCtrs = rec.Spans(), rec.Counters()
+	return out
+}
+
+// diffReplay reports the first way got differs from want.
+func diffReplay(want, got replayOutcome) string {
+	switch {
+	case len(got.trace.Ops) != len(want.trace.Ops):
+		return fmt.Sprintf("%d ops, oracle %d", len(got.trace.Ops), len(want.trace.Ops))
+	case !reflect.DeepEqual(got.trace.Ops, want.trace.Ops):
+		for i := range want.trace.Ops {
+			if got.trace.Ops[i] != want.trace.Ops[i] {
+				return fmt.Sprintf("op %d = %+v, oracle %+v", i, got.trace.Ops[i], want.trace.Ops[i])
+			}
+		}
+	case !reflect.DeepEqual(got.trace.Pauses, want.trace.Pauses):
+		return "trace pauses differ"
+	case !reflect.DeepEqual(got.stream, want.stream):
+		return "streamed statistics differ"
+	case !reflect.DeepEqual(got.traceSpans, want.traceSpans) || !reflect.DeepEqual(got.streamSpans, want.streamSpans):
+		return "client spans differ"
+	case !reflect.DeepEqual(got.traceCtrs, want.traceCtrs) || !reflect.DeepEqual(got.streamCtrs, want.streamCtrs):
+		return fmt.Sprintf("counters %v, oracle %v", got.traceCtrs, want.traceCtrs)
+	}
+	return ""
+}
+
+// replayWorkers are the worker counts the differential tests cover: the
+// inline path, an even and an uneven split, and more workers than CPUs.
+var replayWorkers = []int{1, 2, 3, 8}
+
+// grownServer scales srv's database-size curve 40-fold, so the replay
+// crosses the 2M, 4M and 8M-record read steps (the small test servers
+// stay below the first).
+func grownServer(t *testing.T, srv cassandra.Result) cassandra.Result {
+	t.Helper()
+	grown := make([]cassandra.RecordPoint, len(srv.Records))
+	for i, r := range srv.Records {
+		grown[i] = cassandra.RecordPoint{Time: r.Time, Records: 40 * r.Records}
+	}
+	if n := len(grown); n == 0 || grown[n-1].Records <= 8_000_000 {
+		t.Fatalf("grown curve does not pass the 8M-record read step")
+	}
+	srv.Records = grown
+	return srv
+}
+
+func TestReplayMatchesSequential(t *testing.T) {
+	// 15 ops/s keeps the matrix cheap under -race while the 20-minute
+	// servers still put pauses in every replay.
+	const rate = 15
+	workloadF, err := WorkloadF.Config(TransactionConfig{OpsPerSec: rate, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloadC, err := WorkloadC.Config(TransactionConfig{OpsPerSec: rate, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []struct {
+		name string
+		cfg  TransactionConfig
+	}{
+		{"seed4", TransactionConfig{OpsPerSec: rate, Seed: 4}},
+		{"seed42", TransactionConfig{OpsPerSec: rate, Seed: 42}},
+		// Clients connecting late, onto a database past its first read
+		// step.
+		{"seed7-late", TransactionConfig{OpsPerSec: rate, Seed: 7, StartAfter: 500}},
+		{"update-only", workloadF},
+		{"read-only", workloadC},
+	}
+	for _, gc := range []string{"CMS", "G1", "ParallelOld"} {
+		srv := grownServer(t, testServer(t, gc))
+		for _, c := range cfgs {
+			want := replayWith(srv, c.cfg, generateSequential)
+			if len(want.traceSpans) == 0 {
+				t.Fatalf("%s %s: the oracle recorded no shadow spans, so they go untested", gc, c.name)
+			}
+			for _, w := range replayWorkers {
+				cfg := c.cfg
+				cfg.Workers = w
+				if d := diffReplay(want, replayWith(srv, cfg, generate)); d != "" {
+					t.Errorf("%s %s workers=%d: %s", gc, c.name, w, d)
+				}
+			}
+		}
+	}
+}
+
+func TestReplayHorizonAtChunkEdges(t *testing.T) {
+	// Shrink the chunk so the horizon stop lands on, just before and just
+	// after a chunk edge, and on every edge at once (chunk of 1).
+	defer func(c int) { chunkOps = c }(chunkOps)
+	srv := testServer(t, "G1")
+	// A short horizon keeps the tiny-chunk cases cheap.
+	srv.TotalDuration = simtime.Seconds(40)
+	cfg := TransactionConfig{OpsPerSec: 50, Seed: 3}
+	want := replayWith(srv, cfg, generateSequential)
+	n := len(want.trace.Ops) // the operation the horizon stops is index n
+	if n < 100 {
+		t.Fatalf("only %d ops before the horizon", n)
+	}
+	chunks := []int{1, 2, 3, n - 1, n, n + 1, n + 2, 2 * n}
+	// Chunks that divide n put the stop first in a chunk; chunks that
+	// divide n+1 put it last.
+	for _, target := range []int{n, n + 1} {
+		for c := 4; c < n/2; c++ {
+			if target%c == 0 {
+				chunks = append(chunks, c)
+				break
+			}
+		}
+	}
+	for _, c := range chunks {
+		chunkOps = c
+		for _, w := range replayWorkers {
+			cfg.Workers = w
+			if d := diffReplay(want, replayWith(srv, cfg, generate)); d != "" {
+				t.Errorf("chunk=%d (stop at %d%%%d=%d) workers=%d: %s", c, n, c, n%c, w, d)
+			}
+		}
+	}
+}
+
+// BenchmarkTransactionTrace replays one collector's §4.2 transactions
+// phase (two simulated hours at 150 ops/s, about a million operations)
+// against one fixed server run, on the calling goroutine alone and
+// spread over two workers.
+func BenchmarkTransactionTrace(b *testing.B) {
+	cfg := cassandra.DefaultConfig("ParallelOld", 2*simtime.Hour)
+	cfg.WriteFraction = 0.5
+	cfg.HeapPerRecord = 150
+	cfg.TransientPerOp = 10 * machine.KB
+	cfg.RetentionFrac = 0.10
+	cfg.PreloadBytes = 4 * machine.GB
+	cfg.Seed = 42
+	srv, err := cassandra.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			tcfg := TransactionConfig{ReadFraction: 0.5, OpsPerSec: 150,
+				StartAfter: srv.ReplayDuration.Seconds(), Seed: 141, Workers: workers}
+			b.ReportAllocs()
+			var ops int
+			for i := 0; i < b.N; i++ {
+				ops = len(TransactionTrace(srv, tcfg).Ops)
+			}
+			b.ReportMetric(float64(ops), "ops")
+		})
 	}
 }

@@ -435,17 +435,9 @@ func RunClientServer(opts ClientServerOptions) (*ClientServerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	txn := ycsb.TransactionConfig{
-		ReadFraction: 0.5,
-		OpsPerSec:    opts.ClientOpsPerSec,
-		StartAfter:   srv.ReplayDuration.Seconds(),
-		Seed:         opts.Seed + 1,
-	}
-	if opts.Workload != 0 {
-		txn, err = ycsb.CoreWorkload(opts.Workload).Config(txn)
-		if err != nil {
-			return nil, err
-		}
+	txn, err := clientServerTransactions(opts, srv)
+	if err != nil {
+		return nil, err
 	}
 	trace := ycsb.TransactionTrace(srv, txn)
 	out := &ClientServerResult{
@@ -476,6 +468,24 @@ func RunClientServer(opts ClientServerOptions) (*ClientServerResult, error) {
 		})
 	}
 	return out, nil
+}
+
+// clientServerTransactions configures RunClientServer's YCSB replay. The
+// replay stays on the calling goroutine (Workers 1): a gclabd
+// clientserver job runs on one scheduler worker, so the daemon's
+// -workers flag bounds its CPU.
+func clientServerTransactions(opts ClientServerOptions, srv cassandra.Result) (ycsb.TransactionConfig, error) {
+	txn := ycsb.TransactionConfig{
+		ReadFraction: 0.5,
+		OpsPerSec:    opts.ClientOpsPerSec,
+		StartAfter:   srv.ReplayDuration.Seconds(),
+		Seed:         opts.Seed + 1,
+		Workers:      1,
+	}
+	if opts.Workload == 0 {
+		return txn, nil
+	}
+	return ycsb.CoreWorkload(opts.Workload).Config(txn)
 }
 
 func toBands(r stats.BandReport) LatencyBands {

@@ -1,6 +1,9 @@
 package jvmgc_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +122,35 @@ func TestRunClientServerFacade(t *testing.T) {
 	}
 	if _, err := jvmgc.RunClientServer(jvmgc.ClientServerOptions{Collector: "Epsilon"}); err == nil {
 		t.Error("unknown collector accepted")
+	}
+}
+
+func TestRunClientServerDigest(t *testing.T) {
+	// The SHA-256 of the JSON result pins RunClientServer (the gclabd
+	// clientserver job) byte for byte, raw per-operation series included,
+	// for the default workload and a core workload.
+	cases := []struct {
+		opts jvmgc.ClientServerOptions
+		want string
+	}{
+		{jvmgc.ClientServerOptions{Collector: "CMS", Duration: 30 * time.Minute, Seed: 4},
+			"d2f05e2ad62ff53cf70e496d924d862d1546830f5b7ab0f4c072e28dd782c155"},
+		{jvmgc.ClientServerOptions{Collector: "G1", Duration: 20 * time.Minute, Seed: 11, Workload: 'B'},
+			"06950d1b09df890ae82dd4ab784f48ce948e913c738575b1ee152c6c65824397"},
+	}
+	for _, c := range cases {
+		res, err := jvmgc.RunClientServer(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s workload %q: result digest %s, want %s", c.opts.Collector, c.opts.Workload, got, c.want)
+		}
 	}
 }
 
